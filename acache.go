@@ -242,7 +242,9 @@ func (q *Query) parseRef(ref string) (tuple.Attr, error) {
 // unlimited cache memory, re-optimization every 10 000 updates.
 type Options struct {
 	// ReoptInterval is the re-optimization interval I in updates
-	// (default 10 000).
+	// (default 10 000). While the plan holds on a stable stream the
+	// interval backs off to at most 32·I; a plan change, a cache demotion
+	// or a shift in the relations' traffic shares brings it back to I.
 	ReoptInterval int
 	// MemoryBudget is the bytes available to caches (≤ 0 for unlimited).
 	MemoryBudget int
@@ -958,12 +960,18 @@ func (q *Query) ResultColumns() []string {
 	return out
 }
 
-// Explain renders the adaptive optimizer's view: every candidate cache with
-// its state (used / profiled / unused) and latest benefit, maintenance
+// Explain renders the adaptive optimizer's view: a header line with the
+// re-optimization schedule (the current interval, the updates since the plan
+// last changed, and what last reset the interval), then every candidate cache
+// with its state (used / profiled / unused) and latest benefit, maintenance
 // cost, and miss-probability estimates in unit-time terms — EXPLAIN for a
 // continuously optimized query.
 func (e *Engine) Explain() string {
 	var b strings.Builder
+	if cad, ok := e.core.Cadence(); ok {
+		b.WriteString(cad.String())
+		b.WriteByte('\n')
+	}
 	for _, c := range e.core.Candidates() {
 		fmt.Fprintf(&b, "%-9s %s  benefit=%.4f cost=%.4f miss=%.2f",
 			c.State.String(), e.describe(c.Spec), c.Benefit, c.Cost, c.MissProb)

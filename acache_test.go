@@ -497,6 +497,9 @@ func TestExplain(t *testing.T) {
 		}
 	}
 	out := eng.Explain()
+	if !strings.HasPrefix(out, "re-optimizing every ") || !strings.Contains(out, "interval last reset by ") {
+		t.Fatalf("Explain has no schedule header:\n%s", out)
+	}
 	if !strings.Contains(out, "benefit=") || !strings.Contains(out, "cache(") {
 		t.Fatalf("Explain output:\n%s", out)
 	}

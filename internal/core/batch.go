@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"acache/internal/cost"
 	"acache/internal/stream"
 )
@@ -81,23 +79,11 @@ func (en *Engine) ProcessBatch(ups []stream.Update) int {
 		if len(en.cfg.ForcedCaches) > 0 || en.cfg.DisableCaching || en.pausedCaching {
 			continue
 		}
-		en.sinceMonitor += k
-		if en.sinceMonitor >= en.cfg.MonitorInterval {
-			en.sinceMonitor = 0
-			tm := time.Now()
-			en.monitorUsed()
-			en.reoptNanos += time.Since(tm).Nanoseconds()
-		}
+		en.advanceMonitor(k)
 		// runLimit returned >1, so the engine was not profiling when the run
 		// was admitted, and a run cannot start profiling mid-way: the serial
 		// branch for en.profiling is unreachable here.
-		en.sinceReopt += k
-		if en.sinceReopt >= en.cfg.ReoptInterval {
-			en.sinceReopt = 0
-			tm := time.Now()
-			en.startReopt()
-			en.reoptNanos += time.Since(tm).Nanoseconds()
-		}
+		en.advanceReopt(k)
 	}
 	return total
 }

@@ -24,11 +24,17 @@ import (
 // run splitter thrives on; the windowSource sequences in engineStates cover
 // the opposite extreme (relations interleaved, runs of length one).
 func burstUpdates(q *query.Query, n, window, burst int, domain, seed int64) []stream.Update {
+	return burstUpdatesBy(q, n, window, burst, domain, seed, func(visit int) int { return visit % q.N() })
+}
+
+// burstUpdatesBy is burstUpdates with the relation of each visit chosen by
+// pick (visit counts from 0).
+func burstUpdatesBy(q *query.Query, n, window, burst int, domain, seed int64, pick func(visit int) int) []stream.Update {
 	rng := rand.New(rand.NewSource(seed))
 	wins := make([][]tuple.Tuple, q.N())
 	ups := make([]stream.Update, 0, n)
-	rel := 0
-	for len(ups) < n {
+	for visit := 0; len(ups) < n; visit++ {
+		rel := pick(visit)
 		ncols := q.Schema(rel).Len()
 		w := wins[rel]
 		if evict := len(w) + burst - window; evict > 0 {
@@ -49,7 +55,6 @@ func burstUpdates(q *query.Query, n, window, burst int, domain, seed int64) []st
 			w = append(w, t)
 		}
 		wins[rel] = w
-		rel = (rel + 1) % q.N()
 	}
 	return ups[:n]
 }
@@ -298,4 +303,47 @@ func TestProcessBatchMatchesSerialMemoryPressure(t *testing.T) {
 		return en
 	}
 	checkBatchEquivalence(t, mk, burstUpdates(q, 5000, 60, 16, 6, 18))
+}
+
+func TestProcessBatchMatchesSerialSettled(t *testing.T) {
+	// A stationary prefix long enough for the re-optimization interval to
+	// back off to its cap, then ΔR0 bursting 20× as often as the others:
+	// the backed-off due points, the quarantine and the traffic-share wake
+	// must land on the same update in both paths.
+	if testing.Short() {
+		t.Skip("70k updates replayed five times")
+	}
+	q := threeWay(t)
+	const shiftAt = 1500 // visits; about 48 000 updates
+	pick := func(visit int) int {
+		if visit < shiftAt {
+			return visit % q.N()
+		}
+		if k := (visit - shiftAt) % 22; k < 20 {
+			return 0
+		}
+		return 1 + (visit-shiftAt)%2
+	}
+	ups := burstUpdatesBy(q, 70_000, 40, 16, 10, 4, pick)
+	mk := func() *Engine {
+		en, err := NewEngine(q, planner.Ordering{{1, 2}, {2, 0}, {1, 0}}, Config{
+			ReoptInterval: 1000,
+			Seed:          3,
+		})
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		return en
+	}
+	// The workload must exercise what it is here for.
+	en := mk()
+	capped := false
+	for _, u := range ups {
+		en.Process(u)
+		capped = capped || en.cad.backoff == maxBackoff
+	}
+	if !capped || en.cad.wakes == 0 {
+		t.Fatalf("serial replay: interval capped %v, %d wakes; want both", capped, en.cad.wakes)
+	}
+	checkBatchEquivalence(t, mk, ups)
 }

@@ -257,7 +257,8 @@ func (en *Engine) DropCaches() {
 // first rung of the overload degradation ladder. Pausing drops every cache
 // and stops all adaptivity work (profiling, monitoring, re-optimization),
 // shedding their overhead while results stay exact; resuming recomputes the
-// candidate set and starts a fresh profiling phase so caches can return.
+// candidate set, starts a fresh profiling phase so caches can return, and
+// puts the re-optimization interval back to I.
 // No-op in forced-cache or caching-disabled modes, and when the state does
 // not change.
 func (en *Engine) SetCachingPaused(paused bool) {
@@ -272,8 +273,7 @@ func (en *Engine) SetCachingPaused(paused bool) {
 		en.DropCaches()
 		return
 	}
-	en.sinceReopt = 0
-	en.sinceMonitor = 0
+	en.resumeCadence()
 	en.refreshCandidates()
 	en.startProfilingPhase()
 }

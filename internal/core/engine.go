@@ -74,7 +74,8 @@ type Config struct {
 	Profiler profiler.Config
 	// ReoptInterval is I: updates processed between re-optimizations
 	// (default 10 000; Section 7.4 uses 10 000 tuples, Section 7.1 two
-	// seconds).
+	// seconds). On a stable stream the engine backs off to at most 32·I
+	// between rounds (see cadence.go).
 	ReoptInterval int
 	// MonitorInterval is how often used caches' net benefit is rechecked
 	// for the immediate-demotion rule of Section 4.5(a) (default I/10).
@@ -133,7 +134,7 @@ type Config struct {
 	// figures are unchanged by the filters' presence.
 	FilterAwareCostModel bool
 	// MaxProfilingUpdates bounds the profiling phase before selection runs
-	// with whatever statistics are available (default 4 × ReoptInterval).
+	// with whatever statistics are available (default ReoptInterval).
 	MaxProfilingUpdates int
 	// Seed drives sampling and randomized selection.
 	Seed int64
@@ -198,7 +199,7 @@ func (c Config) withDefaults() Config {
 		c.MemoryBudget = -1
 	}
 	if c.MaxProfilingUpdates == 0 {
-		c.MaxProfilingUpdates = 2 * c.ReoptInterval
+		c.MaxProfilingUpdates = c.ReoptInterval
 	}
 	return c
 }
@@ -233,6 +234,11 @@ type cand struct {
 	suspended bool
 	monStat   monitorSnapshot
 	demotions int
+	// strikes counts the monitor's demotions of this cache since the last
+	// traffic-share wake; quarantine is how many more rounds it sits out of
+	// profiling and selection (min(4^strikes, maxQuarantine) after a
+	// demotion; see cadence.go).
+	strikes, quarantine int
 	// unimportant counts consecutive beyond-threshold changes of this
 	// candidate's statistics that produced no selection change (Section 8
 	// future work (ii)); high counts stop triggering re-optimizations.
@@ -301,6 +307,8 @@ type Engine struct {
 	// re-optimization; the others profile only candidates whose probe
 	// stream is unobstructed, bounding the throughput lost to profiling.
 	reoptCount int
+	// cad is the backed-off re-optimization schedule (cadence.go).
+	cad cadence
 
 	// Epoch-memoized readiness poll: statsReady is called once per update
 	// during a profiling phase, but its window-backed inputs change only at
@@ -328,6 +336,9 @@ type Engine struct {
 	selGroupIDs map[string]int
 	selList     []*cand
 	chosenBuf   []*cand
+	curPlanBuf  []*cand
+	newIdxBuf   []int
+	curIdxBuf   []int
 	inChosenBuf map[*cand]bool
 	triggerBuf  []*cand
 	oscBuf      []*cand
@@ -404,6 +415,7 @@ func NewEngine(q *query.Query, ord planner.Ordering, cfg Config) (*Engine, error
 			return nil, err
 		}
 	} else if !cfg.DisableCaching {
+		en.initCadence()
 		en.refreshCandidates()
 		en.startProfilingPhase()
 	}
@@ -608,14 +620,7 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 		return outputs
 	}
 
-	en.sinceMonitor++
-	if en.sinceMonitor >= en.cfg.MonitorInterval {
-		en.sinceMonitor = 0
-		tm := time.Now()
-		en.monitorUsed()
-		en.reoptNanos += time.Since(tm).Nanoseconds()
-	}
-
+	en.advanceMonitor(1)
 	if en.profiling {
 		en.profilingFor++
 		if en.statsReady() || en.profilingFor >= en.cfg.MaxProfilingUpdates {
@@ -625,13 +630,7 @@ func (en *Engine) processUpdate(u stream.Update, profiled bool) int {
 		}
 		return outputs
 	}
-	en.sinceReopt++
-	if en.sinceReopt >= en.cfg.ReoptInterval {
-		en.sinceReopt = 0
-		tm := time.Now()
-		en.startReopt()
-		en.reoptNanos += time.Since(tm).Nanoseconds()
-	}
+	en.advanceReopt(1)
 	return outputs
 }
 
@@ -923,11 +922,12 @@ func (en *Engine) Plan() PlanDescription {
 	return d
 }
 
-// Diagnose renders each candidate's latest estimate — a debugging and
-// observability aid used by the demo CLI.
+// Diagnose renders each candidate's latest estimate in placement order — a
+// debugging and observability aid.
 func (en *Engine) Diagnose() string {
 	out := ""
-	for _, c := range en.cands {
+	for _, k := range en.sortedCandKeys() {
+		c := en.cands[k]
 		out += fmt.Sprintf("%v[%s: ben=%.4f cost=%.4f miss=%.2f entries=%.0f ready=%v demoted=%d] ",
 			c.spec, c.state, c.est.Benefit, c.est.Cost, c.est.MissProb, c.est.ExpectedEntries, c.est.Ready, c.demotions)
 	}

@@ -51,7 +51,7 @@ func (en *Engine) incrementalSelect() []*cand {
 	p := en.cfg.ChangeThreshold
 	movable := en.incMovable[:0]
 	for _, c := range en.cands {
-		if !c.est.Ready {
+		if !c.est.Ready || c.quarantine > 0 {
 			continue
 		}
 		changed := !c.selSet ||

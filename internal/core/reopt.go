@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"acache/internal/memory"
 	"acache/internal/planner"
 	"acache/internal/profiler"
@@ -138,7 +140,7 @@ func (en *Engine) startProfilingPhase() {
 				continue
 			}
 			for _, d := range en.cands {
-				if d.state == Used || d.spec.Pipeline != c.spec.Pipeline {
+				if d.state == Used || d.quarantine > 0 || d.spec.Pipeline != c.spec.Pipeline {
 					continue
 				}
 				if d.spec.Start > c.spec.Start && d.spec.Start <= c.spec.End {
@@ -170,8 +172,10 @@ func (en *Engine) startProfilingPhase() {
 			c.inst.Cache().ResetStats()
 			continue
 		}
-		if !full && covered(c) {
-			continue // estimate kept from the last full profile
+		if c.quarantine > 0 || (!full && covered(c)) {
+			// Sitting out selection, or estimate kept from the last full
+			// profile.
+			continue
 		}
 		c.state = Profiled
 		en.pf.StartShadow(c.spec)
@@ -250,8 +254,10 @@ func (en *Engine) noteUnready(pipe int) {
 }
 
 // finishReopt evaluates the cost model for every candidate, applies the
-// p-threshold skip rule, runs offline selection, and installs the chosen
-// cache set.
+// p-threshold skip rule, runs offline selection, keeps the current plan
+// unless the new selection beats it by more than p (plan hysteresis), and
+// installs the resulting cache set. The round's outcome sets the next
+// interval (cadence.go).
 func (en *Engine) finishReopt() {
 	en.profiling = false
 	en.readyCand = nil
@@ -280,6 +286,7 @@ func (en *Engine) finishReopt() {
 			en.reoptsSuppressed++
 		}
 		en.stopShadows()
+		en.roundDone(false)
 		return
 	}
 	en.reopts++
@@ -290,6 +297,9 @@ func (en *Engine) finishReopt() {
 		chosen = en.runSelection()
 	}
 	selectionChanged := en.selectionDiffers(chosen)
+	if selectionChanged && !en.beatsCurrentPlan(chosen) {
+		chosen, selectionChanged = en.currentPlan(), false
+	}
 	en.applySelection(chosen)
 	en.stopShadows()
 	en.allocateMemory()
@@ -300,6 +310,57 @@ func (en *Engine) finishReopt() {
 	if en.cfg.Incremental {
 		en.noteSelectionOutcome(oscillators, selectionChanged)
 	}
+	en.roundDone(selectionChanged)
+}
+
+// inPlan reports whether c belongs to the current plan: used, or suspended
+// for this profiling phase (it resumes warm unless the round drops it).
+func (c *cand) inPlan() bool { return c.state == Used || c.suspended }
+
+// currentPlan returns the current plan's candidates in placement order, in a
+// buffer reused across rounds.
+func (en *Engine) currentPlan() []*cand {
+	cur := en.curPlanBuf[:0]
+	for _, k := range en.sortedCandKeys() {
+		if c := en.cands[k]; c.inPlan() {
+			cur = append(cur, c)
+		}
+	}
+	en.curPlanBuf = cur
+	return cur
+}
+
+// beatsCurrentPlan is the plan hysteresis: a new selection replaces the
+// current plan only when its objective exceeds the current plan's by more
+// than p (relative to the current plan's), both scored on the same fresh
+// estimates. Estimates carry sampling noise, and switching on a marginal win
+// throws away warm caches for a gain the next round may reverse. A current
+// cache without a usable estimate cannot be scored; the new selection then
+// wins.
+func (en *Engine) beatsCurrentPlan(chosen []*cand) bool {
+	prob, list := en.selectionProblem()
+	inChosen := en.inChosen(chosen)
+	newIdx, curIdx := en.newIdxBuf[:0], en.curIdxBuf[:0]
+	for i, c := range list {
+		if inChosen[c] {
+			newIdx = append(newIdx, i)
+		}
+		if c.inPlan() {
+			curIdx = append(curIdx, i)
+		}
+	}
+	en.newIdxBuf, en.curIdxBuf = newIdx, curIdx
+	cur := 0
+	for _, c := range en.cands {
+		if c.inPlan() {
+			cur++
+		}
+	}
+	if len(newIdx) != len(chosen) || len(curIdx) != cur {
+		return true
+	}
+	curV := prob.Objective(curIdx)
+	return prob.Objective(newIdx)-curV > en.cfg.ChangeThreshold*math.Abs(curV)
 }
 
 // inChosen builds the chosen-set membership map in a reused buffer (valid
@@ -315,13 +376,13 @@ func (en *Engine) inChosen(chosen []*cand) map[*cand]bool {
 	return en.inChosenBuf
 }
 
-// selectionDiffers reports whether the chosen set differs from the caches
-// currently in use.
+// selectionDiffers reports whether the chosen set differs from the current
+// plan.
 func (en *Engine) selectionDiffers(chosen []*cand) bool {
 	inChosen := en.inChosen(chosen)
 	used := 0
 	for _, c := range en.cands {
-		if c.state == Used {
+		if c.inPlan() {
 			used++
 			if !inChosen[c] {
 				return true
@@ -416,22 +477,21 @@ func relChange(now, then float64) float64 {
 	return d / base
 }
 
-// runSelection builds the selection problem from current estimates and runs
-// the configured offline algorithm. The problem, candidate list, group
-// index, and algorithm workspace all live on the engine and are reused, so
-// a warm selection allocates nothing; ReferenceAdaptivity rebuilds them
-// from scratch each time (identical results, the reuse's differential
-// foil). The returned slice is valid until the next selection.
-func (en *Engine) runSelection() []*cand {
+// selectionProblem builds the selection problem from current estimates:
+// every candidate with a ready estimate and no quarantine, in placement
+// order, with list[i] the candidate behind prob.Cands[i]. The problem,
+// candidate list and group index live on the engine and are reused, so a
+// warm build allocates nothing; ReferenceAdaptivity rebuilds them from
+// scratch each time (identical results, the reuse's differential foil).
+// Both are valid until the next build.
+func (en *Engine) selectionProblem() (*selection.Problem, []*cand) {
 	ord := en.exec.OrderingRef()
 	ref := en.cfg.ReferenceAdaptivity
 	prob := &en.selProb
-	ws := &en.selWS
 	groupIDs := en.selGroupIDs
 	list := en.selList[:0]
 	if ref {
 		prob = &selection.Problem{}
-		ws = &selection.Workspace{}
 		groupIDs = nil
 		list = nil
 	}
@@ -459,7 +519,7 @@ func (en *Engine) runSelection() []*cand {
 	// Deterministic candidate order.
 	for _, k := range en.sortedCandKeys() {
 		c := en.cands[k]
-		if !c.est.Ready {
+		if !c.est.Ready || c.quarantine > 0 {
 			continue
 		}
 		gid, ok := groupIDs[c.spec.SharingID()]
@@ -479,6 +539,19 @@ func (en *Engine) runSelection() []*cand {
 	}
 	if !ref {
 		en.selList = list
+	}
+	return prob, list
+}
+
+// runSelection runs the configured offline algorithm on the current
+// selection problem. The algorithm workspace is reused like the problem, so
+// a warm selection allocates nothing. The returned slice is valid until the
+// next selection.
+func (en *Engine) runSelection() []*cand {
+	prob, list := en.selectionProblem()
+	ws := &en.selWS
+	if en.cfg.ReferenceAdaptivity {
+		ws = &selection.Workspace{}
 	}
 	var res selection.Result
 	switch {
@@ -766,8 +839,12 @@ func (en *Engine) monitorUsed() {
 		if g.ready && g.net < 0 {
 			for _, c := range g.members {
 				c.demotions++
+				c.strikes++
+				c.quarantine = min(1<<(2*min(c.strikes, 3)), maxQuarantine)
 				en.detach(c)
 			}
+			en.resetInterval(resetDemotion)
+			en.cad.planChangedAt = en.updates
 		}
 	}
 }

@@ -253,6 +253,11 @@ func (pf *Profiler) TickN(rel, k int) {
 	}
 }
 
+// RelTicks returns how many updates to rel have been ticked since
+// construction: the raw traffic counter behind TrafficShareReady, which the
+// engine's traffic-share wake also reads.
+func (pf *Profiler) RelTicks(rel int) int64 { return pf.relTicks[rel] }
+
 // TicksToSpan returns how many more Ticks to rel can happen before a
 // rate-span boundary is observed, always ≥ 1 (spanN resets to zero at each
 // boundary). The boundary tick reads the shared cost meter, so the engine's

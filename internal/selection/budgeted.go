@@ -47,7 +47,7 @@ func BudgetedExhaustive(p *BudgetedProblem) Result {
 			if !p.feasible(cur) {
 				return
 			}
-			if v := p.objective(cur); v > bestVal {
+			if v := p.Objective(cur); v > bestVal {
 				bestVal = v
 				bestSet = append([]int(nil), cur...)
 			}
@@ -132,7 +132,7 @@ func BudgetedGreedy(p *BudgetedProblem) Result {
 		}
 	}
 	sort.Ints(chosen)
-	return Result{Chosen: chosen, Value: p.objective(chosen)}
+	return Result{Chosen: chosen, Value: p.Objective(chosen)}
 }
 
 func bytesOr1(b float64) float64 {
@@ -178,5 +178,5 @@ func ModularBaseline(p *BudgetedProblem) Result {
 		chosen = append(chosen, byGroup[g]...)
 	}
 	sort.Ints(chosen)
-	return Result{Chosen: chosen, Value: p.objective(chosen)}
+	return Result{Chosen: chosen, Value: p.Objective(chosen)}
 }

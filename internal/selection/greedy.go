@@ -147,7 +147,7 @@ func (w *Workspace) Greedy(p *Problem) Result {
 	chosen := w.resolveOverlaps(p, w.gChosen)
 	chosen = w.pruneNegative(p, chosen)
 	sort.Ints(chosen)
-	return Result{Chosen: chosen, Value: p.objective(chosen)}
+	return Result{Chosen: chosen, Value: p.Objective(chosen)}
 }
 
 // addGroup appends a group with the given cost, reusing a previously

@@ -118,5 +118,5 @@ func Randomized(p *Problem, rng *rand.Rand) (Result, error) {
 	chosen = resolveOverlaps(p, chosen)
 	chosen = pruneNegative(p, chosen)
 	sort.Ints(chosen)
-	return Result{Chosen: chosen, Value: p.objective(chosen)}, nil
+	return Result{Chosen: chosen, Value: p.Objective(chosen)}, nil
 }

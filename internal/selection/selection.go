@@ -52,13 +52,14 @@ type Result struct {
 	Value  float64
 }
 
-// objective computes the maximization-form value of a candidate subset:
+// Objective computes the maximization-form value of a candidate subset:
 // benefits summed in subset order, then each used group's cost subtracted
 // once in first-occurrence order. Allocation-free and deterministic —
-// Exhaustive calls it 2^m times per selection, and a re-optimizing engine
-// must not see run-to-run float-sum jitter. The duplicate-group scan is
+// Exhaustive calls it 2^m times per selection, a re-optimizing engine scores
+// its current plan against a new selection with it (plan hysteresis), and
+// neither may see run-to-run float-sum jitter. The duplicate-group scan is
 // quadratic in the subset size, which non-overlap keeps small.
-func (p *Problem) objective(chosen []int) float64 {
+func (p *Problem) Objective(chosen []int) float64 {
 	v := 0.0
 	for _, i := range chosen {
 		v += p.Cands[i].Benefit

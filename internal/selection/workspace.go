@@ -68,7 +68,7 @@ func (w *Workspace) OptimalNoSharing(p *Problem) Result {
 	}
 	w.chosen = chosen
 	sort.Ints(chosen)
-	return Result{Chosen: chosen, Value: p.objective(chosen)}
+	return Result{Chosen: chosen, Value: p.Objective(chosen)}
 }
 
 // optimalPipeline runs the forest DP over one pipeline's candidates,
@@ -147,7 +147,7 @@ func (w *Workspace) Exhaustive(p *Problem) Result {
 // rather than a closure so warm calls allocate nothing).
 func (w *Workspace) exhaust(p *Problem, i int) {
 	if i == len(p.Cands) {
-		if v := p.objective(w.cur); v > w.exBest {
+		if v := p.Objective(w.cur); v > w.exBest {
 			w.exBest = v
 			w.chosen = append(w.chosen[:0], w.cur...)
 		}

@@ -458,6 +458,10 @@ func (e *ShardedEngine) Explain() string {
 	var b strings.Builder
 	for i := 0; i < e.sh.NumShards(); i++ {
 		fmt.Fprintf(&b, "— shard %d —\n", i)
+		if cad, ok := e.sh.Shard(i).Cadence(); ok {
+			b.WriteString(cad.String())
+			b.WriteByte('\n')
+		}
 		for _, c := range e.sh.Shard(i).Candidates() {
 			fmt.Fprintf(&b, "%-9s %s  benefit=%.4f cost=%.4f miss=%.2f",
 				c.State.String(), e.q.describeSpec(c.Spec), c.Benefit, c.Cost, c.MissProb)
